@@ -153,17 +153,19 @@ void Kernel_CpuVsGpuCostModel(benchmark::State& state) {
 
 // ---- the SIMD sweep: vector inner loops vs their scalar references ----
 // Each kernel runs the identical physics twice — set_simd(true) and
-// set_simd(false) — from the same ICs. Wall time is best-of-reps (robust
-// against scheduler noise); the deviation is the max relative state
-// difference, which only lane reassociation can produce. The hermite sweep
-// needs a 2-lane pool: a 1-lane pool routes to the sequential symmetric
-// path, which is always scalar by design (it is the bit-exactness
-// reference) — set_simd only affects the tiled path. The tiled path's
-// j-order is fixed per i regardless of lane count, so the scalar/simd
-// comparison stays deterministic.
+// set_simd(false) — from the same ICs, on a 1-lane pool so the row measures
+// vector width alone. Wall time is best-of-reps (robust against scheduler
+// noise); the deviation is the max relative state difference. Each row
+// records the ISA and lane count it ran at: the Hermite force loop picks
+// its variant from the host CPU at run time (hermite::host_kernels) and is
+// bit-identical to scalar by construction, so its deviation must be 0; the
+// SPH and Barnes-Hut loops use the build's compile-time simd::VecD and
+// reassociate sums across lanes (~1e-15).
 
 struct SimdRow {
   std::string name;
+  std::string isa;
+  std::size_t lanes;
   double scalar_ms;
   double simd_ms;
   double speedup;        // scalar / simd wall time
@@ -197,7 +199,7 @@ double best_of_ms(Run run, int reps = 3) {
 SimdRow sweep_hermite(std::size_t n) {
   util::Rng rng(21);
   auto model = amuse::ic::plummer_sphere(n, rng);
-  util::ThreadPool pool(2);  // >1 lane: engage the tiled (vectorizable) path
+  util::ThreadPool pool(1);
   auto evolve = [&](bool simd, std::vector<Vec3>* out) {
     HermiteIntegrator nbody;
     nbody.set_thread_pool(&pool);
@@ -214,8 +216,9 @@ SimdRow sweep_hermite(std::size_t n) {
   evolve(true, &simd_pos);
   double scalar_ms = best_of_ms([&] { evolve(false, nullptr); });
   double simd_ms = best_of_ms([&] { evolve(true, nullptr); });
-  return {"hermite_jblock", scalar_ms, simd_ms, scalar_ms / simd_ms,
-          rel_dev(simd_pos, scalar_pos)};
+  const hermite::ForceKernel& dispatched = hermite::host_kernels().back();
+  return {"hermite_ilane", dispatched.isa, dispatched.lanes, scalar_ms,
+          simd_ms, scalar_ms / simd_ms, rel_dev(simd_pos, scalar_pos)};
 }
 
 SimdRow sweep_sph(std::size_t n) {
@@ -240,8 +243,8 @@ SimdRow sweep_sph(std::size_t n) {
   evolve(true, &simd_pos);
   double scalar_ms = best_of_ms([&] { evolve(false, nullptr); });
   double simd_ms = best_of_ms([&] { evolve(true, nullptr); });
-  return {"sph_density", scalar_ms, simd_ms, scalar_ms / simd_ms,
-          rel_dev(simd_pos, scalar_pos)};
+  return {"sph_density", kernels::simd::kIsa, kernels::simd::kWidth, scalar_ms,
+          simd_ms, scalar_ms / simd_ms, rel_dev(simd_pos, scalar_pos)};
 }
 
 SimdRow sweep_bhtree(std::size_t n) {
@@ -263,8 +266,8 @@ SimdRow sweep_bhtree(std::size_t n) {
   simd_acc = accel;
   double scalar_ms = best_of_ms([&] { force(false); });
   double simd_ms = best_of_ms([&] { force(true); });
-  return {"bhtree_leaf", scalar_ms, simd_ms, scalar_ms / simd_ms,
-          rel_dev(simd_acc, scalar_acc)};
+  return {"bhtree_leaf", kernels::simd::kIsa, kernels::simd::kWidth, scalar_ms,
+          simd_ms, scalar_ms / simd_ms, rel_dev(simd_acc, scalar_acc)};
 }
 
 }  // namespace
@@ -278,13 +281,12 @@ class KernelsReporter : public benchmark::ConsoleReporter {
     rows.push_back(sweep_sph(4000));
     rows.push_back(sweep_bhtree(8192));
 
-    std::printf("\n=== SIMD (%s, %zu lanes) vs scalar reference ===\n",
-                kernels::simd::kIsa, kernels::simd::kWidth);
+    std::printf("\n=== SIMD vs scalar reference ===\n");
     for (const SimdRow& row : rows) {
-      std::printf("  %-16s scalar=%8.3f ms  simd=%8.3f ms  %.2fx  "
-                  "dev=%.3g\n",
-                  row.name.c_str(), row.scalar_ms, row.simd_ms, row.speedup,
-                  row.max_rel_dev);
+      std::printf("  %-16s %-6s x%zu  scalar=%8.3f ms  simd=%8.3f ms  "
+                  "%.2fx  dev=%.3g\n",
+                  row.name.c_str(), row.isa.c_str(), row.lanes, row.scalar_ms,
+                  row.simd_ms, row.speedup, row.max_rel_dev);
     }
 
     std::ofstream json("BENCH_kernels.json");
@@ -292,8 +294,9 @@ class KernelsReporter : public benchmark::ConsoleReporter {
     json << "  \"lanes\": " << kernels::simd::kWidth << ",\n";
     json << "  \"benchmarks\": [\n";
     for (std::size_t i = 0; i < rows.size(); ++i) {
-      json << "    {\"name\": \"" << rows[i].name
-           << "\", \"scalar_ms\": " << rows[i].scalar_ms
+      json << "    {\"name\": \"" << rows[i].name << "\", \"isa\": \""
+           << rows[i].isa << "\", \"lanes\": " << rows[i].lanes
+           << ", \"scalar_ms\": " << rows[i].scalar_ms
            << ", \"simd_ms\": " << rows[i].simd_ms
            << ", \"simd_speedup\": " << rows[i].speedup
            << ", \"max_rel_dev\": " << rows[i].max_rel_dev << "}"

@@ -1,21 +1,177 @@
 #include "kernels/hermite.hpp"
 
 #include <algorithm>
-#include <array>
-#include <limits>
 
 #include "kernels/simd.hpp"
 #include "util/parallel.hpp"
 
 namespace jungle::kernels {
 
+namespace hermite {
+
+// Sources are laid out SoA and padded by kMaxLanes entries, so the last
+// vector of rows in a range loads in bounds.
+struct Sources {
+  const double *x, *y, *z, *vx, *vy, *vz, *m;
+  std::size_t n;
+  double eps2;
+};
+
 namespace {
-// Tile sizes for the parallel force path: an i-block's accumulators live in
-// registers/stack while a j-tile of the SoA source arrays stays L1-resident
+
+constexpr std::size_t kMaxLanes = 8;
+// Rows are processed in blocks of kIBlock (the parallel grain) whose totals
+// stay in a stack array, against L1-sized j-tiles of the SoA sources
 // (kJTile * 7 doubles = 28 KiB).
 constexpr std::size_t kIBlock = 64;
 constexpr std::size_t kJTile = 512;
+
+// The force loop, written once over simd.hpp lane traits L. Each vector
+// lane holds one row i; every source j is broadcast to all lanes in order.
+// Per row the arithmetic is the scalar loop's: the same operations in the
+// same order (per tile: sum j = jb..jend-1 from zero, then add the tile sum
+// to the row total), so every width gives the scalar result bit for bit.
+// The one row-dependent step is skipping j == i, done with a masked add
+// that leaves the lane untouched (exact even when eps2 = 0 makes the self
+// term NaN). Instantiated only inside JUNGLE_SIMD_ENTRY functions, which
+// inline it whole, so no vector value crosses a call (hence -Wpsabi off).
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wpsabi"
+template <class L>
+void force_rows(const Sources& s, std::size_t lo, std::size_t hi, Vec3* acc,
+                Vec3* jerk) {
+#if defined(__clang__)
+#pragma clang fp contract(off)
+#endif
+  using V = typename L::V;
+  constexpr std::size_t W = L::kWidth;
+  static_assert(kIBlock % W == 0 && W <= kMaxLanes);
+  const V eps2 = L::set1(s.eps2);
+  const V one = L::set1(1.0), three = L::set1(3.0);
+  const auto add_all = [](V& sum, V term) { sum = sum + term; };
+  for (std::size_t blo = lo; blo < hi; blo += kIBlock) {
+    const std::size_t bhi = std::min(hi, blo + kIBlock);
+    alignas(64) double total[6][kIBlock] = {};  // ax ay az jx jy jz
+    for (std::size_t jb = 0; jb < s.n; jb += kJTile) {
+      const std::size_t jend = std::min(s.n, jb + kJTile);
+      for (std::size_t i0 = blo; i0 < bhi; i0 += W) {
+        const V xi = L::load(s.x + i0), yi = L::load(s.y + i0),
+                zi = L::load(s.z + i0);
+        const V vxi = L::load(s.vx + i0), vyi = L::load(s.vy + i0),
+                vzi = L::load(s.vz + i0);
+        V ax = L::set1(0.0), ay = ax, az = ax, jx = ax, jy = ax, jz = ax;
+        auto pair = [&](std::size_t j, auto add) {
+          const V dx = L::set1(s.x[j]) - xi;
+          const V dy = L::set1(s.y[j]) - yi;
+          const V dz = L::set1(s.z[j]) - zi;
+          const V dvx = L::set1(s.vx[j]) - vxi;
+          const V dvy = L::set1(s.vy[j]) - vyi;
+          const V dvz = L::set1(s.vz[j]) - vzi;
+          const V r2 = dx * dx + dy * dy + dz * dz + eps2;
+          const V inv_r = one / L::sqrt(r2);
+          const V inv_r2 = inv_r * inv_r;
+          const V inv_r3 = inv_r2 * inv_r;
+          const V rv = dx * dvx + dy * dvy + dz * dvz;
+          const V alpha = three * rv * inv_r2;
+          const V m_r3 = L::set1(s.m[j]) * inv_r3;
+          add(ax, m_r3 * dx);
+          add(ay, m_r3 * dy);
+          add(az, m_r3 * dz);
+          add(jx, m_r3 * (dvx - alpha * dx));
+          add(jy, m_r3 * (dvy - alpha * dy));
+          add(jz, m_r3 * (dvz - alpha * dz));
+        };
+        // Rows i0..i0+W-1 meet themselves at j in [i0, i0 + W): there lane
+        // j - i0 is masked off. Outside that stretch every lane adds.
+        const std::size_t self_lo = std::clamp(i0, jb, jend);
+        const std::size_t self_hi = std::clamp(i0 + W, jb, jend);
+        for (std::size_t j = jb; j < self_lo; ++j) pair(j, add_all);
+        for (std::size_t j = self_lo; j < self_hi; ++j) {
+          const typename L::Mask keep = L::all_but(j - i0);
+          pair(j, [keep](V& sum, V term) {
+            sum = L::add_where(keep, sum, term);
+          });
+        }
+        for (std::size_t j = self_hi; j < jend; ++j) pair(j, add_all);
+        const std::size_t k = i0 - blo;
+        L::store(&total[0][k], L::load(&total[0][k]) + ax);
+        L::store(&total[1][k], L::load(&total[1][k]) + ay);
+        L::store(&total[2][k], L::load(&total[2][k]) + az);
+        L::store(&total[3][k], L::load(&total[3][k]) + jx);
+        L::store(&total[4][k], L::load(&total[4][k]) + jy);
+        L::store(&total[5][k], L::load(&total[5][k]) + jz);
+      }
+    }
+    // Lanes past bhi computed rows outside [lo, hi) (or padding): dropped.
+    for (std::size_t i = blo; i < bhi; ++i) {
+      const std::size_t k = i - blo;
+      acc[i] = {total[0][k], total[1][k], total[2][k]};
+      jerk[i] = {total[3][k], total[4][k], total[5][k]};
+    }
+  }
+}
+#pragma GCC diagnostic pop
+
+template <class L>
+constexpr ForceKernel kernel(decltype(ForceKernel::rows) rows) {
+  return {L::kIsa, L::kWidth, rows};
+}
+
+JUNGLE_SIMD_ENTRY()
+void rows_scalar(const Sources& s, std::size_t lo, std::size_t hi, Vec3* acc,
+                 Vec3* jerk) {
+  force_rows<simd::ScalarLanes>(s, lo, hi, acc, jerk);
+}
+
+#if defined(JUNGLE_SIMD_X86)
+JUNGLE_SIMD_ENTRY("sse2")
+void rows_sse2(const Sources& s, std::size_t lo, std::size_t hi, Vec3* acc,
+               Vec3* jerk) {
+  force_rows<simd::Sse2Lanes>(s, lo, hi, acc, jerk);
+}
+
+JUNGLE_SIMD_ENTRY("avx2")
+void rows_avx2(const Sources& s, std::size_t lo, std::size_t hi, Vec3* acc,
+               Vec3* jerk) {
+  force_rows<simd::Avx2Lanes>(s, lo, hi, acc, jerk);
+}
+
+JUNGLE_SIMD_ENTRY("avx512f")
+void rows_avx512(const Sources& s, std::size_t lo, std::size_t hi, Vec3* acc,
+                 Vec3* jerk) {
+  force_rows<simd::Avx512Lanes>(s, lo, hi, acc, jerk);
+}
+#elif defined(JUNGLE_SIMD_NEON)
+JUNGLE_SIMD_ENTRY()
+void rows_neon(const Sources& s, std::size_t lo, std::size_t hi, Vec3* acc,
+               Vec3* jerk) {
+  force_rows<simd::NeonLanes>(s, lo, hi, acc, jerk);
+}
+#endif
+
 }  // namespace
+
+const std::vector<ForceKernel>& host_kernels() {
+  static const std::vector<ForceKernel> kernels = [] {
+    std::vector<ForceKernel> host{kernel<simd::ScalarLanes>(rows_scalar)};
+#if defined(JUNGLE_SIMD_X86)
+    __builtin_cpu_init();
+    host.push_back(kernel<simd::Sse2Lanes>(rows_sse2));
+    if (__builtin_cpu_supports("avx2")) {
+      host.push_back(kernel<simd::Avx2Lanes>(rows_avx2));
+    }
+    if (__builtin_cpu_supports("avx512f")) {
+      host.push_back(kernel<simd::Avx512Lanes>(rows_avx512));
+    }
+#elif defined(JUNGLE_SIMD_NEON)
+    host.push_back(kernel<simd::NeonLanes>(rows_neon));
+#endif
+    return host;
+  }();
+  return kernels;
+}
+
+}  // namespace hermite
 
 HermiteIntegrator::HermiteIntegrator() : HermiteIntegrator(Params{}) {}
 HermiteIntegrator::HermiteIntegrator(Params params) : params_(params) {}
@@ -34,50 +190,16 @@ void HermiteIntegrator::compute_forces(const std::vector<Vec3>& positions,
                                        const std::vector<Vec3>& velocities,
                                        std::vector<Vec3>& acc,
                                        std::vector<Vec3>& jerk) {
+  // Rows [owned_lo, owned_hi) get forces from all n sources; a sharded
+  // integrator's ghost rows keep zero. Each row's result depends only on
+  // the sources, never on the kernel variant, the pool or the row blocks.
   const std::size_t n = mass_.size();
   acc.assign(n, {});
   jerk.assign(n, {});
-  const std::size_t rlo = owned_lo();
-  const std::size_t rhi = owned_hi();
-  const bool partial = rlo > 0 || rhi < n;
-  util::ThreadPool& pool = pool_ ? *pool_ : util::ThreadPool::global();
-  if (!partial && (n < kParallelThreshold || pool.lanes() == 1)) {
-    // Sequential path: Newton's-third-law symmetric update, half the work.
-    // Always scalar — this is the bit-exactness reference.
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = i + 1; j < n; ++j) {
-        Vec3 dr = positions[j] - positions[i];
-        Vec3 dv = velocities[j] - velocities[i];
-        double r2 = dr.norm2() + params_.eps2;
-        double r = std::sqrt(r2);
-        double r3 = r2 * r;
-        double rv = dr.dot(dv);
-        // acc_i += m_j dr / r^3 ; jerk_i += m_j (dv/r^3 - 3 rv dr / r^5)
-        double inv_r3 = 1.0 / r3;
-        double alpha = 3.0 * rv / r2;
-        Vec3 jpart = (dv - alpha * dr) * inv_r3;
-        acc[i] += mass_[j] * inv_r3 * dr;
-        jerk[i] += mass_[j] * jpart;
-        acc[j] -= mass_[i] * inv_r3 * dr;
-        jerk[j] -= mass_[i] * jpart;
-      }
-    }
-    pairs_ += static_cast<std::uint64_t>(n) * (n - 1) / 2 * 2;  // i-j and j-i
-    return;
+  const std::size_t padded = n + hermite::kMaxLanes;
+  for (auto* column : {&sx_, &sy_, &sz_, &svx_, &svy_, &svz_}) {
+    column->resize(padded);
   }
-
-  // Tiled path: each i-block owns its acc/jerk rows outright (no symmetric
-  // write to row j, so no contention), and walks the sources in L1-sized
-  // j-tiles of SoA arrays. For a fixed i the j order is 0..n-1 regardless
-  // of lane count, so results are independent of threading. A sharded
-  // integrator restricts the i rows to its owned range; the j sources
-  // always span the full system.
-  sx_.resize(n);
-  sy_.resize(n);
-  sz_.resize(n);
-  svx_.resize(n);
-  svy_.resize(n);
-  svz_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     sx_[i] = positions[i].x;
     sy_[i] = positions[i].y;
@@ -86,107 +208,21 @@ void HermiteIntegrator::compute_forces(const std::vector<Vec3>& positions,
     svy_[i] = velocities[i].y;
     svz_[i] = velocities[i].z;
   }
-  const double eps2 = params_.eps2;
-  const bool vectorize = simd_ && simd::kWidth > 1;
-  pool.parallel_for(rlo, rhi, kIBlock, [&](std::size_t lo, std::size_t hi,
-                                           unsigned /*lane*/) {
-    std::array<double, kIBlock> ax{}, ay{}, az{}, jx{}, jy{}, jz{};
-    for (std::size_t jb = 0; jb < n; jb += kJTile) {
-      std::size_t jend = std::min(n, jb + kJTile);
-      for (std::size_t i = lo; i < hi; ++i) {
-        double xi = sx_[i], yi = sy_[i], zi = sz_[i];
-        double vxi = svx_[i], vyi = svy_[i], vzi = svz_[i];
-        double axi = 0.0, ayi = 0.0, azi = 0.0;
-        double jxi = 0.0, jyi = 0.0, jzi = 0.0;
-        // Scalar j-accumulation: the reference loop (also the tail and the
-        // self-lane block of the vector path).
-        auto scalar_range = [&](std::size_t a, std::size_t b) {
-          for (std::size_t j = a; j < b; ++j) {
-            if (j == i) continue;
-            double dx = sx_[j] - xi;
-            double dy = sy_[j] - yi;
-            double dz = sz_[j] - zi;
-            double dvx = svx_[j] - vxi;
-            double dvy = svy_[j] - vyi;
-            double dvz = svz_[j] - vzi;
-            double r2 = dx * dx + dy * dy + dz * dz + eps2;
-            double inv_r = 1.0 / std::sqrt(r2);
-            double inv_r2 = inv_r * inv_r;
-            double inv_r3 = inv_r2 * inv_r;
-            double rv = dx * dvx + dy * dvy + dz * dvz;
-            double alpha = 3.0 * rv * inv_r2;
-            double m_r3 = mass_[j] * inv_r3;
-            axi += m_r3 * dx;
-            ayi += m_r3 * dy;
-            azi += m_r3 * dz;
-            jxi += m_r3 * (dvx - alpha * dx);
-            jyi += m_r3 * (dvy - alpha * dy);
-            jzi += m_r3 * (dvz - alpha * dz);
-          }
-        };
-        if (!vectorize) {
-          scalar_range(jb, jend);
-        } else {
-          namespace sd = simd;
-          constexpr std::size_t W = sd::kWidth;
-          sd::VecD axv = sd::zero(), ayv = sd::zero(), azv = sd::zero();
-          sd::VecD jxv = sd::zero(), jyv = sd::zero(), jzv = sd::zero();
-          const sd::VecD xiv = sd::set1(xi), yiv = sd::set1(yi),
-                         ziv = sd::set1(zi);
-          const sd::VecD vxiv = sd::set1(vxi), vyiv = sd::set1(vyi),
-                         vziv = sd::set1(vzi);
-          const sd::VecD eps2v = sd::set1(eps2);
-          const sd::VecD onev = sd::set1(1.0), threev = sd::set1(3.0);
-          std::size_t j = jb;
-          for (; j + W <= jend; j += W) {
-            if (i >= j && i < j + W) {
-              // The vector block containing i: take the scalar loop so the
-              // j == i self-interaction is skipped exactly, softening-free
-              // configurations included.
-              scalar_range(j, j + W);
-              continue;
-            }
-            sd::VecD dx = sd::load(&sx_[j]) - xiv;
-            sd::VecD dy = sd::load(&sy_[j]) - yiv;
-            sd::VecD dz = sd::load(&sz_[j]) - ziv;
-            sd::VecD dvx = sd::load(&svx_[j]) - vxiv;
-            sd::VecD dvy = sd::load(&svy_[j]) - vyiv;
-            sd::VecD dvz = sd::load(&svz_[j]) - vziv;
-            sd::VecD r2 = dx * dx + dy * dy + dz * dz + eps2v;
-            sd::VecD inv_r = onev / sd::sqrt(r2);
-            sd::VecD inv_r2 = inv_r * inv_r;
-            sd::VecD inv_r3 = inv_r2 * inv_r;
-            sd::VecD rv = dx * dvx + dy * dvy + dz * dvz;
-            sd::VecD alpha = threev * rv * inv_r2;
-            sd::VecD m_r3 = sd::load(&mass_[j]) * inv_r3;
-            axv = axv + m_r3 * dx;
-            ayv = ayv + m_r3 * dy;
-            azv = azv + m_r3 * dz;
-            jxv = jxv + m_r3 * (dvx - alpha * dx);
-            jyv = jyv + m_r3 * (dvy - alpha * dy);
-            jzv = jzv + m_r3 * (dvz - alpha * dz);
-          }
-          scalar_range(j, jend);  // tail
-          axi += sd::hsum(axv);
-          ayi += sd::hsum(ayv);
-          azi += sd::hsum(azv);
-          jxi += sd::hsum(jxv);
-          jyi += sd::hsum(jyv);
-          jzi += sd::hsum(jzv);
-        }
-        ax[i - lo] += axi;
-        ay[i - lo] += ayi;
-        az[i - lo] += azi;
-        jx[i - lo] += jxi;
-        jy[i - lo] += jyi;
-        jz[i - lo] += jzi;
-      }
-    }
-    for (std::size_t i = lo; i < hi; ++i) {
-      acc[i] = {ax[i - lo], ay[i - lo], az[i - lo]};
-      jerk[i] = {jx[i - lo], jy[i - lo], jz[i - lo]};
-    }
-  });
+  const hermite::Sources sources{sx_.data(),  sy_.data(),  sz_.data(),
+                                 svx_.data(), svy_.data(), svz_.data(),
+                                 mass_.data(), n,          params_.eps2};
+  const std::size_t rlo = owned_lo();
+  const std::size_t rhi = owned_hi();
+  const auto rows = kernel_->rows;
+  if (n < kParallelThreshold) {
+    rows(sources, rlo, rhi, acc.data(), jerk.data());
+  } else {
+    util::ThreadPool& pool = pool_ ? *pool_ : util::ThreadPool::global();
+    pool.parallel_for(rlo, rhi, hermite::kIBlock,
+                      [&](std::size_t lo, std::size_t hi, unsigned) {
+                        rows(sources, lo, hi, acc.data(), jerk.data());
+                      });
+  }
   pairs_ += static_cast<std::uint64_t>(rhi - rlo) * (n - 1);
 }
 

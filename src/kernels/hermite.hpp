@@ -11,6 +11,27 @@ class ThreadPool;
 
 namespace jungle::kernels {
 
+namespace hermite {
+
+struct Sources;  // SoA snapshot of one force evaluation (hermite.cpp)
+
+/// One compiled variant of the force loop. `rows` writes acc/jerk of rows
+/// [lo, hi) summed over every source, `lanes` rows per vector register.
+/// All variants produce bit-identical forces (see compute_forces).
+struct ForceKernel {
+  const char* isa;
+  std::size_t lanes;
+  void (*rows)(const Sources& sources, std::size_t lo, std::size_t hi,
+               Vec3* acc, Vec3* jerk);
+};
+
+/// The variants this host CPU can run, picked once from its ISA: scalar
+/// first, then sse2 / avx2 / avx512 (x86-64) or neon (aarch64) by width.
+/// The last, widest entry is the one set_simd(true) runs.
+const std::vector<ForceKernel>& host_kernels();
+
+}  // namespace hermite
+
 /// Direct-summation gravitational N-body integrator, the phiGRAPE analog
 /// (Harfst et al. 2006): 4th-order Hermite predictor-corrector with a
 /// shared adaptive timestep and Plummer softening. Works in N-body units
@@ -74,18 +95,22 @@ class HermiteIntegrator {
 
   Params& params() noexcept { return params_; }
 
-  /// Pool for the parallel force path; nullptr (default) uses
+  /// Pool the force rows are split over; nullptr (default) uses
   /// util::ThreadPool::global(). Systems below kParallelThreshold bodies
-  /// (or a 1-lane pool) take the sequential symmetric-update path.
+  /// run the force loop on the calling thread. Forces do not depend on the
+  /// pool: every row sums its sources in the same order.
   void set_thread_pool(util::ThreadPool* pool) noexcept { pool_ = pool; }
   static constexpr std::size_t kParallelThreshold = 256;
 
-  /// Vectorized j-accumulation in the tiled force path (simd.hpp lanes).
-  /// Off = the scalar loop, the bit-exactness reference the vector path is
-  /// benched against. Ignored by the sequential symmetric path, which is
-  /// always scalar.
-  void set_simd(bool enabled) noexcept { simd_ = enabled; }
-  bool simd_enabled() const noexcept { return simd_; }
+  /// On (default): the widest force-loop variant this CPU runs, several
+  /// rows per vector register. Off: the one-row scalar loop. Both give
+  /// bit-identical forces; the scalar loop is what the vector variants are
+  /// checked and benched against.
+  void set_simd(bool enabled) noexcept {
+    kernel_ = enabled ? &hermite::host_kernels().back()
+                      : &hermite::host_kernels().front();
+  }
+  bool simd_enabled() const noexcept { return kernel_->lanes > 1; }
 
   /// Domain-decomposed (sharded) operation: this instance holds *all* N
   /// particles but integrates only the owned rows [lo, hi) — forces for
@@ -146,14 +171,16 @@ class HermiteIntegrator {
   std::vector<double> mass_;
   std::vector<Vec3> pos_, vel_, acc_, jerk_;
   bool dirty_ = true;  // forces need a fresh evaluation
-  bool simd_ = true;
+  const hermite::ForceKernel* kernel_ = &hermite::host_kernels().back();
   std::size_t owned_lo_ = 0;
   std::size_t owned_hi_ = static_cast<std::size_t>(-1);
   std::uint64_t pairs_ = 0;
   std::uint64_t substeps_ = 0;
   util::ThreadPool* pool_ = nullptr;
-  // SoA scratch for the tiled parallel force path, reused across steps.
+  // SoA scratch for the force loop, reused across steps.
   std::vector<double> sx_, sy_, sz_, svx_, svy_, svz_;
+
+  friend struct HermiteKernelAccess;  // tests pin one host_kernels() entry
 };
 
 }  // namespace jungle::kernels

@@ -133,6 +133,12 @@ amuse::WorkerSpec hydro_spec(int nranks, int ncores) {
   return spec;
 }
 
+amuse::WorkerSpec stellar_spec() {
+  amuse::WorkerSpec spec;
+  spec.code = "sse";
+  return spec;
+}
+
 const sim::Host* first_gpu(const std::vector<const sim::Host*>& nodes) {
   for (const sim::Host* node : nodes) {
     if (node->gpu()) return node;
@@ -191,7 +197,7 @@ std::vector<Assignment> Scheduler::candidates(const ModelLoad& model) const {
             1);
         break;
       case Role::stellar:
-        add("", &client_, amuse::WorkerSpec{.code = "sse"}, 1);
+        add("", &client_, stellar_spec(), 1);
         break;
     }
   }
@@ -246,8 +252,7 @@ std::vector<Assignment> Scheduler::candidates(const ModelLoad& model) const {
         break;
       }
       case Role::stellar:
-        add(resource.name, first_cpu(live), amuse::WorkerSpec{.code = "sse"},
-            1);
+        add(resource.name, first_cpu(live), stellar_spec(), 1);
         break;
     }
   }

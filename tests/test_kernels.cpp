@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <numeric>
+#include <string>
+#include <vector>
 
 #include "amuse/ic.hpp"
 #include "kernels/bhtree.hpp"
@@ -250,35 +252,117 @@ TEST(BarnesHut, BatchedAccelMatchesSerialBitExactly) {
   EXPECT_EQ(tree.interactions() - before, count);
 }
 
+namespace jungle::kernels {
+// Pins one hermite::host_kernels() entry on an integrator (a friend of it),
+// so every ISA variant the CPU supports runs, not only the widest.
+struct HermiteKernelAccess {
+  static void pin(HermiteIntegrator& nbody,
+                  const hermite::ForceKernel& kernel) {
+    nbody.kernel_ = &kernel;
+  }
+};
+}  // namespace jungle::kernels
+
+namespace {
+void expect_bit_identical(const std::vector<Vec3>& got,
+                          const std::vector<Vec3>& want,
+                          const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].x, want[i].x) << what << " row " << i;
+    EXPECT_EQ(got[i].y, want[i].y) << what << " row " << i;
+    EXPECT_EQ(got[i].z, want[i].z) << what << " row " << i;
+    if (::testing::Test::HasFailure()) return;  // first bad row is enough
+  }
+}
+}  // namespace
+
 TEST(Hermite, ForcesIndependentOfThreadCount) {
-  // N above kParallelThreshold so the tiled parallel path engages.
-  const std::size_t n = 400;
-  auto run = [&](unsigned lanes) {
-    util::Rng rng(23);
-    auto model = amuse::ic::plummer_sphere(n, rng);
-    util::ThreadPool pool(lanes);
-    HermiteIntegrator nbody;
-    nbody.set_thread_pool(&pool);
-    for (std::size_t i = 0; i < n; ++i) {
-      nbody.add_particle(model.mass[i], model.position[i], model.velocity[i]);
+  // One n below kParallelThreshold (rows run on the calling thread) and one
+  // above (rows split over the pool): every row sums its sources in the same
+  // order whatever the lane count, so the states are bit-identical.
+  for (std::size_t n : {std::size_t{100}, std::size_t{400}}) {
+    ASSERT_EQ(n < HermiteIntegrator::kParallelThreshold, n == 100);
+    auto run = [&](unsigned lanes) {
+      util::Rng rng(23);
+      auto model = amuse::ic::plummer_sphere(n, rng);
+      util::ThreadPool pool(lanes);
+      HermiteIntegrator nbody;
+      nbody.set_thread_pool(&pool);
+      for (std::size_t i = 0; i < n; ++i) {
+        nbody.add_particle(model.mass[i], model.position[i],
+                           model.velocity[i]);
+      }
+      nbody.evolve(0.125);
+      nbody.set_thread_pool(nullptr);  // pool dies with this lambda frame
+      return nbody;
+    };
+    auto one = run(1);
+    for (unsigned lanes : {2u, 4u, 4u}) {
+      auto other = run(lanes);
+      const std::string what =
+          "n=" + std::to_string(n) + " lanes=" + std::to_string(lanes);
+      expect_bit_identical(other.positions(), one.positions(), what + " pos");
+      expect_bit_identical(other.velocities(), one.velocities(),
+                           what + " vel");
     }
-    nbody.evolve(0.125);
-    nbody.set_thread_pool(nullptr);  // pool dies with this lambda frame
-    return nbody;
-  };
-  auto one = run(1);
-  auto four_a = run(4);
-  auto four_b = run(4);
-  for (std::size_t i = 0; i < n; ++i) {
-    // Same lane count => bit-identical (chunk->lane mapping cannot matter).
-    EXPECT_EQ(four_a.positions()[i].x, four_b.positions()[i].x) << i;
-    EXPECT_EQ(four_a.velocities()[i].y, four_b.velocities()[i].y) << i;
-    // 1 lane (sequential symmetric path) vs 4 lanes (tiled path): the
-    // summation order differs, so allow rounding-level drift only.
-    EXPECT_NEAR(one.positions()[i].x, four_a.positions()[i].x, 1e-12) << i;
-    EXPECT_NEAR(one.positions()[i].y, four_a.positions()[i].y, 1e-12) << i;
-    EXPECT_NEAR(one.positions()[i].z, four_a.positions()[i].z, 1e-12) << i;
-    EXPECT_NEAR(one.velocities()[i].x, four_a.velocities()[i].x, 1e-12) << i;
+  }
+}
+
+TEST(Hermite, VectorKernelBitIdenticalToScalarOnEveryIsa) {
+  const auto& kernels = hermite::host_kernels();
+  ASSERT_FALSE(kernels.empty());
+  EXPECT_EQ(kernels.front().lanes, 1u);  // the scalar reference comes first
+  util::ThreadPool pool(4);
+  for (std::size_t n : {1, 2, 3, 7, 9, 63, 65, 255, 257, 1000}) {
+    util::Rng rng(31 + n);
+    auto model = amuse::ic::plummer_sphere(n, rng);
+    for (double eps2 : {0.0, 1e-4}) {
+      // The full range, then (from n = 3) a shard whose first row is not a
+      // multiple of any lane width, so row vectors straddle the range ends.
+      const std::size_t lo = n / 3;
+      for (bool sharded : {false, true}) {
+        if (sharded && lo == 0) continue;
+        if (sharded) ASSERT_NE(lo % 8, 0u);
+        const std::size_t hi = sharded ? n - n / 4 : n;
+        // kernel == nullptr: the reference, set_simd(false).
+        auto run = [&](const hermite::ForceKernel* kernel) {
+          HermiteIntegrator::Params params;
+          params.eps2 = eps2;
+          HermiteIntegrator nbody(params);
+          nbody.set_thread_pool(&pool);
+          for (std::size_t i = 0; i < n; ++i) {
+            nbody.add_particle(model.mass[i], model.position[i],
+                               model.velocity[i]);
+          }
+          if (sharded) nbody.set_owned_range(lo, hi);
+          if (kernel) {
+            HermiteKernelAccess::pin(nbody, *kernel);
+          } else {
+            nbody.set_simd(false);
+          }
+          nbody.evolve(1.0 / 512.0);
+          nbody.set_thread_pool(nullptr);
+          return nbody;
+        };
+        auto scalar = run(nullptr);
+        for (const auto& kernel : kernels) {
+          auto vector = run(&kernel);
+          const std::string what = std::string(kernel.isa) + " n=" +
+                                   std::to_string(n) + " eps2=" +
+                                   std::to_string(eps2) +
+                                   (sharded ? " sharded" : " full");
+          expect_bit_identical(vector.accelerations(), scalar.accelerations(),
+                               what + " acc");
+          expect_bit_identical(vector.jerks(), scalar.jerks(), what + " jerk");
+          expect_bit_identical(vector.positions(), scalar.positions(),
+                               what + " pos");
+          expect_bit_identical(vector.velocities(), scalar.velocities(),
+                               what + " vel");
+          if (HasFailure()) return;
+        }
+      }
+    }
   }
 }
 
